@@ -886,34 +886,31 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
                 Ok(changed)
             }
             ManualRep::Chunked { chunks, .. } => {
-                // Decide the direction from the current content, then swap
-                // chunk by chunk, touching only chunks that need it.
-                let mut direction = None;
+                // Decide the direction from the whole manual, as the
+                // monolithic kernel does: an 'I' in any chunk wins over
+                // 'i'. Then swap chunk by chunk, touching only chunks
+                // that need it.
+                let (mut upper, mut lower) = (false, false);
                 for c in chunks {
                     let text = stm(RT::read(self.tx, c))?;
                     if text.contains('I') {
-                        direction = Some(('I', 'i'));
+                        upper = true;
                         break;
                     }
-                    if text.contains('i') {
-                        direction = Some(('i', 'I'));
-                        break;
-                    }
+                    lower |= text.contains('i');
                 }
-                let Some((from, to)) = direction else {
-                    return Ok(0);
+                let (from, to) = match (upper, lower) {
+                    (true, _) => (b'I', b'i'),
+                    (false, true) => (b'i', b'I'),
+                    (false, false) => return Ok(0),
                 };
                 let mut changed = 0;
                 for c in chunks {
-                    if !stm(RT::read(self.tx, c))?.contains(from) {
+                    if !stm(RT::read(self.tx, c))?.as_bytes().contains(&from) {
                         continue;
                     }
                     stm(RT::update(self.tx, c, |text| {
-                        let count = text.matches(from).count();
-                        if count > 0 {
-                            *text = text.replace(from, &to.to_string());
-                            changed += count;
-                        }
+                        changed += stmbench7_data::text::replace_byte(text, from, to);
                     }))?;
                 }
                 Ok(changed)
@@ -1236,6 +1233,43 @@ mod tests {
     #[test]
     fn tl2_sharded_roundtrip() {
         check_backend(Tl2Runtime::default(), Granularity::Sharded);
+    }
+
+    /// A manual whose first chunk holds only `'i'` and whose later chunks
+    /// hold `'I'`: the chunked swap must still pick `'I'` → `'i'`, like
+    /// the monolithic kernel and the lock backends.
+    #[test]
+    fn chunked_swap_direction_matches_sequential() {
+        use crate::{AnyBackend, BackendChoice};
+        let mut ws = Workspace::build(StructureParams::tiny(), 21);
+        let len = ws.manual.text.len();
+        let mut text = "i am lower. ".repeat(len)[..len / 2].to_string();
+        text.push_str(&"I am UPPER. ".repeat(len)[..len - len / 2]);
+        ws.manual.text = text;
+        let chunk_len = len.div_ceil(ws.params.manual_chunks);
+        assert!(!ws.manual.text[..chunk_len].contains('I'));
+
+        let run = |name: &str| {
+            let backend = AnyBackend::build(BackendChoice::parse(name).unwrap(), ws.clone());
+            let first = backend.execute(&write_spec(), &mut SwapManual);
+            let second = backend.execute(&write_spec(), &mut SwapManual);
+            (first, second, backend.export().manual.text)
+        };
+        // The first swap turns every 'I' into 'i'; the second turns every
+        // 'i' (now all of them) back into 'I'.
+        let count = |c| stmbench7_data::text::count_char(&ws.manual.text, c);
+        let oracle = run("sequential");
+        assert_eq!((oracle.0, oracle.1), (count('I'), count('I') + count('i')));
+        for name in [
+            "astm-sharded",
+            "tl2-sharded",
+            "norec-sharded",
+            "astm",
+            "tl2",
+            "norec",
+        ] {
+            assert!(run(name) == oracle, "{name} disagrees with sequential");
+        }
     }
 
     #[test]

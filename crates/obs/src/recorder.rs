@@ -281,13 +281,20 @@ mod tests {
     fn cross_thread_merge_is_timestamp_ordered() {
         let rec = Recorder::enabled();
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let rec = rec.clone();
-                scope.spawn(move || {
-                    for i in 0..50u64 {
-                        rec.instant(Layer::Engine, EventKind::Op, "op", i);
-                    }
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    let rec = rec.clone();
+                    scope.spawn(move || {
+                        for i in 0..50u64 {
+                            rec.instant(Layer::Engine, EventKind::Op, "op", i);
+                        }
+                    })
+                })
+                .collect();
+            // Join explicitly: lanes flush in thread-local destructors,
+            // which the scope's implicit wait does not wait for.
+            for w in workers {
+                w.join().unwrap();
             }
         });
         rec.instant(Layer::Engine, EventKind::Op, "main", 0);

@@ -390,7 +390,6 @@ struct WorkerStats {
     busy_ns: u64,
     /// Time this worker spent waiting for work (wall time minus busy).
     idle_ns: u64,
-    outcomes: Vec<(u64, OpOutcome)>,
 }
 
 impl WorkerStats {
@@ -412,7 +411,6 @@ impl WorkerStats {
             steals: 0,
             busy_ns: 0,
             idle_ns: 0,
-            outcomes: Vec::new(),
         }
     }
 
@@ -435,7 +433,6 @@ impl WorkerStats {
         let cat = &mut self.per_category[req.op.category().index()];
         cat.queue_wait.record(queue_ns);
         cat.service_time.record(service_ns);
-        self.outcomes.push((req.id, outcome));
     }
 }
 
@@ -481,6 +478,7 @@ fn execute_batch<B: Backend>(
     flight: &FlightRecorder,
     lat_window: &Mutex<Histogram>,
     stats: &mut WorkerStats,
+    log: &OutcomeLog,
     observe: &(impl Fn(&Request, &OpOutcome, u64, u64) + ?Sized),
 ) {
     let spec = batch_spec(specs, batch);
@@ -526,7 +524,7 @@ fn execute_batch<B: Backend>(
             window.record(ns);
         }
     }
-    for (req, outcome) in batch.iter().zip(outcomes) {
+    for (req, &outcome) in batch.iter().zip(&outcomes) {
         if recorder.is_enabled() {
             recorder.push(
                 Layer::Engine,
@@ -542,6 +540,33 @@ fn execute_batch<B: Backend>(
         }
         observe(req, &outcome, start_ns, end_ns);
         stats.record(req, outcome, start_ns, end_ns);
+    }
+    log.store(batch, &outcomes);
+}
+
+/// Every executed request's outcome, indexed by request id: the one copy
+/// a run keeps, handed out as [`ServeResult::outcomes`]. Workers write a
+/// whole batch under one lock acquisition.
+#[derive(Default)]
+struct OutcomeLog(Mutex<Vec<Option<OpOutcome>>>);
+
+impl OutcomeLog {
+    fn store(&self, batch: &[Request], outcomes: &[OpOutcome]) {
+        let mut log = self.0.lock().expect("outcome log poisoned");
+        for (req, &outcome) in batch.iter().zip(outcomes) {
+            let id = req.id as usize;
+            if log.len() <= id {
+                log.resize(id + 1, None);
+            }
+            log[id] = Some(outcome);
+        }
+    }
+
+    /// The log sized to `offered` ids; rejected ids stay `None`.
+    fn into_outcomes(self, offered: u64) -> Vec<Option<OpOutcome>> {
+        let mut outcomes = self.0.into_inner().expect("outcome log poisoned");
+        outcomes.resize(offered as usize, None);
+        outcomes
     }
 }
 
@@ -560,6 +585,7 @@ fn merge_into_report<B: Backend>(
     cfg: &ServeConfig,
     mix: &WorkloadMix,
     all_stats: Vec<WorkerStats>,
+    log: OutcomeLog,
     totals: RunTotals,
 ) -> ServeResult {
     let RunTotals {
@@ -584,7 +610,6 @@ fn merge_into_report<B: Backend>(
     let mut steals = 0u64;
     let mut busy_ns = 0u64;
     let mut idle_ns = 0u64;
-    let mut outcomes: Vec<Option<OpOutcome>> = vec![None; offered as usize];
     // Busy time per worker, in worker order. Stolen batches execute on
     // the thief's thread and accrue into the thief's stats, so this is
     // genuinely "who did the work", not "whose queue it sat in".
@@ -610,9 +635,6 @@ fn merge_into_report<B: Backend>(
         steals += stats.steals;
         busy_ns += stats.busy_ns;
         idle_ns += stats.idle_ns;
-        for (id, outcome) in &stats.outcomes {
-            outcomes[*id as usize] = Some(*outcome);
-        }
     }
     let report = Report {
         backend: backend.name().to_string(),
@@ -650,7 +672,10 @@ fn merge_into_report<B: Backend>(
             per_category,
         }),
     };
-    ServeResult { report, outcomes }
+    ServeResult {
+        report,
+        outcomes: log.into_outcomes(offered),
+    }
 }
 
 /// Runs the queue/worker machinery over requests offered by an arbitrary
@@ -702,6 +727,7 @@ pub fn serve_source<B: Backend, R>(
     };
     let lat_window = Mutex::new(Histogram::micros());
     let lat_totals = Mutex::new(Histogram::micros());
+    let log = OutcomeLog::default();
     let depth_probe = || queues.iter().map(|q| q.len() as u64).sum();
     let latency_probe = || {
         let window = std::mem::replace(
@@ -750,6 +776,7 @@ pub fn serve_source<B: Backend, R>(
             let observe = &observe;
             let flight = &flight;
             let lat_window = &lat_window;
+            let log = &log;
             handles.push(scope.spawn(move || {
                 // The context RNG is re-seeded per request from the
                 // request itself; the worker seed only covers the (never
@@ -773,6 +800,7 @@ pub fn serve_source<B: Backend, R>(
                             flight,
                             lat_window,
                             &mut stats,
+                            log,
                             observe,
                         );
                     };
@@ -858,6 +886,7 @@ pub fn serve_source<B: Backend, R>(
         cfg,
         &mix,
         all_stats,
+        log,
         RunTotals {
             elapsed,
             offered: ingress.offered.load(Ordering::Relaxed),
@@ -924,6 +953,7 @@ pub fn run_stream_closed<B: Backend>(
     // Closed-loop oracle runs are never sampled: no queue, no windows.
     let flight = FlightRecorder::off();
     let lat_window = Mutex::new(Histogram::micros());
+    let log = OutcomeLog::default();
     for req in requests {
         execute_batch(
             backend,
@@ -935,6 +965,7 @@ pub fn run_stream_closed<B: Backend>(
             &flight,
             &lat_window,
             &mut stats,
+            &log,
             &observe,
         );
     }
@@ -952,6 +983,7 @@ pub fn run_stream_closed<B: Backend>(
         cfg,
         &mix,
         vec![stats],
+        log,
         RunTotals {
             elapsed,
             offered: requests.len() as u64,
